@@ -72,14 +72,19 @@ object Landmarks {
   def topBy(score: Array[Double], l: Int): Array[Int] =
     score.zipWithIndex.sortBy(-_._1).take(l).map(_._2)
 
+  /** Shortest-path distance of each pair: the reference that
+    * [[approximationError]] scores every landmark set against. */
+  def pairDistances(g: AdjGraph, pairs: Seq[(Int, Int)]): Seq[Int] =
+    pairs.map { case (s, t) => g.bfsDistances(s)(t) }
+
   /** Mean relative error of the median estimator over `pairs` sampled
-    * connected (s,t) pairs, for a given landmark set.
+    * connected (s,t) pairs, for a given landmark set; `trueDist` is
+    * [[pairDistances]] of the same pairs.
     */
   def approximationError(g: AdjGraph, landmarks: Array[Int],
-                         pairs: Seq[(Int, Int)]): Double = {
+                         pairs: Seq[(Int, Int)], trueDist: Seq[Int]): Double = {
     val vecs = landmarks.map(g.bfsDistances)
-    val errs = pairs.flatMap { case (s, t) =>
-      val d = g.bfsDistances(s)(t)
+    val errs = pairs.zip(trueDist).flatMap { case ((s, t), d) =>
       if (d <= 0) None
       else {
         var lb = 0; var ub = Int.MaxValue

@@ -245,26 +245,9 @@ object TableRunners {
     for (name <- Datasets.table7Names) {
       val g = Datasets(name)
       val pairs = Landmarks.samplePairs(g, nPairs, seed = 424242)
-      val trueDist = pairs.map { case (s, t) => g.bfsDistances(s)(t) }
-
-      def evalSet(landmarks: Array[Int]): Double = {
-        val vecs = landmarks.map(g.bfsDistances)
-        val errs = pairs.zip(trueDist).flatMap { case ((s, t), d) =>
-          if (d <= 0) None
-          else {
-            var lb = 0; var ub = Int.MaxValue
-            vecs.foreach { vec =>
-              val ds = vec(s); val dt = vec(t)
-              if (ds >= 0 && dt >= 0) {
-                lb = math.max(lb, math.abs(ds - dt)); ub = math.min(ub, ds + dt)
-              }
-            }
-            if (ub == Int.MaxValue) None
-            else Some(math.abs((lb + ub) / 2.0 - d) / d)
-          }
-        }
-        if (errs.isEmpty) 0.0 else errs.sum / errs.size
-      }
+      val trueDist = Landmarks.pairDistances(g, pairs)
+      def evalSet(landmarks: Array[Int]): Double =
+        Landmarks.approximationError(g, landmarks, pairs, trueDist)
 
       // (k,h)-core selections: l random vertices from the innermost core,
       // averaged over `repeats` draws.

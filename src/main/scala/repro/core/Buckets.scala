@@ -25,7 +25,11 @@ final class Buckets(n: Int, maxBucket: Int) {
 
   /** Insert `v` into bucket `b` (must not already be in a bucket). */
   def add(v: Int, b: Int): Unit = {
-    require(bucketOf(v) < 0, s"vertex $v already bucketed")
+    // Not `require`: its by-name message is a closure allocated on every
+    // call unless the JIT's escape analysis removes it, which it does not
+    // do reliably on the hot move path.
+    if (bucketOf(v) >= 0)
+      throw new IllegalArgumentException(s"requirement failed: vertex $v already bucketed")
     val h = head(b)
     next(v) = h
     prev(v) = -1

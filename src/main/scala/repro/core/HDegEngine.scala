@@ -25,6 +25,18 @@ trait HDegEngine {
 }
 
 private object EngineKernels {
+  /** Sequential kernel shared by the engines: h-degree of each vertex in
+    * `vertices(from until until)`, written to the same positions of `out`. */
+  def hDegRange(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
+                h: Int, budget: Budget,
+                bfs: HBfs, out: Array[Int], from: Int, until: Int): Unit = {
+    var i = from
+    while (i < until) {
+      out(i) = bfs.run(g, alive, vertices(i), h, budget)
+      i += 1
+    }
+  }
+
   /** Sequential kernel shared by the engines: max of `value` over the
     * r-neighborhood of each vertex (including the vertex). */
   def nbrMaxRange(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
@@ -56,11 +68,7 @@ final class SequentialEngine(n: Int) extends HDegEngine {
   override def batchHDeg(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                          h: Int, budget: Budget): Array[Int] = {
     val out = new Array[Int](vertices.length)
-    var i = 0
-    while (i < vertices.length) {
-      out(i) = bfs.run(g, alive, vertices(i), h, budget)
-      i += 1
-    }
+    EngineKernels.hDegRange(g, alive, vertices, h, budget, bfs, out, 0, vertices.length)
     out
   }
 
@@ -81,48 +89,36 @@ final class ThreadedEngine(n: Int, threads: Int = Runtime.getRuntime.availablePr
     extends HDegEngine {
   private val pool = Executors.newFixedThreadPool(threads)
   private val localBfs = ThreadLocal.withInitial[HBfs](() => new HBfs(n))
-  private val seqFallback = new SequentialEngine(n)
+  private val seqBfs = new HBfs(n)
   private val minParallelBatch = 32
 
   override def batchHDeg(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
-                         h: Int, budget: Budget): Array[Int] = {
-    if (vertices.length < minParallelBatch)
-      return seqFallback.batchHDeg(g, alive, vertices, h, budget)
-    val out = new Array[Int](vertices.length)
-    val chunk = math.max(16, vertices.length / (threads * 4))
-    val tasks = (0 until vertices.length by chunk).map { start =>
-      val end = math.min(vertices.length, start + chunk)
-      new Callable[Unit] {
-        override def call(): Unit = {
-          val bfs = localBfs.get()
-          var i = start
-          while (i < end) {
-            out(i) = bfs.run(g, alive, vertices(i), h, budget)
-            i += 1
-          }
-        }
-      }
+                         h: Int, budget: Budget): Array[Int] =
+    dispatch(vertices.length) { (bfs, out, from, until) =>
+      EngineKernels.hDegRange(g, alive, vertices, h, budget, bfs, out, from, until)
     }
-    val futures = pool.invokeAll(tasks.asJava)
-    futures.asScala.foreach(_.get()) // rethrow BudgetExceeded etc.
-    out
-  }
 
   override def batchNbrMax(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
-                           r: Int, value: Array[Int], budget: Budget): Array[Int] = {
-    if (vertices.length < minParallelBatch)
-      return seqFallback.batchNbrMax(g, alive, vertices, r, value, budget)
-    val out = new Array[Int](vertices.length)
-    val chunk = math.max(16, vertices.length / (threads * 4))
-    val tasks = (0 until vertices.length by chunk).map { start =>
-      val end = math.min(vertices.length, start + chunk)
-      new Callable[Unit] {
-        override def call(): Unit =
-          EngineKernels.nbrMaxRange(g, alive, vertices, r, value, budget,
-                                    localBfs.get(), out, start, end)
-      }
+                           r: Int, value: Array[Int], budget: Budget): Array[Int] =
+    dispatch(vertices.length) { (bfs, out, from, until) =>
+      EngineKernels.nbrMaxRange(g, alive, vertices, r, value, budget, bfs, out, from, until)
     }
-    pool.invokeAll(tasks.asJava).asScala.foreach(_.get())
+
+  /** Runs `kernel` over `[0, size)` into a fresh output array: inline for
+    * batches under the cutoff, else in chunks across the pool. */
+  private def dispatch(size: Int)(kernel: (HBfs, Array[Int], Int, Int) => Unit): Array[Int] = {
+    val out = new Array[Int](size)
+    if (size < minParallelBatch) kernel(seqBfs, out, 0, size)
+    else {
+      val chunk = math.max(16, size / (threads * 4))
+      val tasks = (0 until size by chunk).map { start =>
+        val end = math.min(size, start + chunk)
+        new Callable[Unit] {
+          override def call(): Unit = kernel(localBfs.get(), out, start, end)
+        }
+      }
+      pool.invokeAll(tasks.asJava).asScala.foreach(_.get()) // rethrow BudgetExceeded etc.
+    }
     out
   }
 

@@ -14,8 +14,29 @@ package repro.core
   * cascading decrements) and tightens every survivor's lower bound to LB3
   * via Property 3 (`min h-degree within any V' lower-bounds every core
   * index in V'`).
+  *
+  * The pipeline is split so that intervals can run anywhere: [[plan]] is
+  * Alg. 4 lines 3–11 and [[runInterval]] is lines 12–18 for one interval.
+  * [[decompose]] runs the intervals top-down over one shared [[State]];
+  * a caller that gives each interval a fresh [[State]] gets the
+  * independent sub-computations of §4.6 option 1.
   */
 object HLBUB {
+
+  /** Per-vertex state that [[runInterval]] reads and updates. Shared across
+    * intervals, it carries the assignments of higher intervals down, so
+    * those vertices are bucketed at their known core and never re-peeled.
+    */
+  final class State(n: Int) {
+    val core: Array[Int] = Array.fill(n)(-1)
+    val assigned = new Array[Boolean](n)
+    val lb3 = new Array[Int](n)
+    val setLB = new Array[Boolean](n)
+    val deg = new Array[Int](n)
+  }
+
+  /** Bounds and top-down intervals of Alg. 4 lines 3–11. */
+  final case class Plan(lb2: Array[Int], ub: Array[Int], intervals: Seq[(Int, Int)])
 
   /** Partition the (descending, distinct) UB values into intervals covering
     * `S` contiguous values each, exactly as Alg. 4 line 11 / Example 4:
@@ -34,17 +55,66 @@ object HLBUB {
     out.result()
   }
 
-  /** Algorithm 6. Mutates `alive` (removing pruned vertices) and `lb3`
-    * (monotone max with the Property-3 bound). Returns the surviving
-    * vertices' fresh upper-bounded h-degrees only for internal use.
+  /** Alg. 4 lines 3–11: LB1, LB2 and UB (initial h-degrees are part of UB's
+    * computation), then the intervals over the descending UB values.
+    *
+    * @param s       interval width in distinct UB values; None ⇒ adaptive
+    *                (≈ 12 intervals)
+    * @param useHDegAsUB Table 5 ablation: replace Alg. 5's UB with the
+    *                trivial h-degree upper bound
+    */
+  def plan(g: AdjGraph, h: Int, engine: HDegEngine, budget: Budget,
+           s: Option[Int], useHDegAsUB: Boolean): Plan = {
+    val l1 = Bounds.lb1(g, h, engine, budget)
+    val lb2 = Bounds.lb2(g, h, l1, engine, budget)
+    val ub =
+      if (useHDegAsUB) Bounds.hDegUB(g, h, engine, budget)
+      else Bounds.upperBound(g, h, engine, budget)
+    val uDesc = (ub.distinct :+ (lb2.min - 1)).distinct.sortBy(-_)
+    val sVal = s.getOrElse(math.max(1, math.ceil((uDesc.length - 1) / 12.0).toInt))
+    Plan(lb2, ub, intervals(uDesc, sVal))
+  }
+
+  /** Alg. 4 lines 12–18 for one interval of `p`: on return every vertex
+    * whose core index lies in [kmin, kmax] has `st.core`/`st.assigned` set.
+    */
+  def runInterval(g: AdjGraph, h: Int, p: Plan, kmin: Int, kmax: Int,
+                  st: State, engine: HDegEngine, budget: Budget): Unit = {
+    val n = g.n
+    // Line 12: V[kmin] = {v : UB(v) >= kmin}.
+    val alive = Array.tabulate(n)(v => p.ub(v) >= kmin)
+    val verts = (0 until n).filter(alive).toArray
+    // Lines 13–14: clean + tighten (Alg. 6).
+    improveLB(g, h, kmin, alive, verts, p.lb2, st, engine, budget)
+    // Lines 15–17: bucket survivors at their best-known floor.
+    val buckets = new Buckets(n, math.max(0, n - 1))
+    val floor = math.max(0, kmin - 1)
+    var v = 0
+    while (v < n) {
+      if (alive(v)) {
+        buckets.add(v, math.max(math.max(st.core(v), st.lb3(v)), floor))
+        st.setLB(v) = true
+      }
+      v += 1
+    }
+    // Line 18.
+    CoreDecomp.run(g, h, kmin, kmax, alive, buckets, st.setLB, st.deg,
+                   st.core, st.assigned, engine, budget)
+  }
+
+  /** Algorithm 6. Mutates `alive` (removing pruned vertices) and `st.lb3`
+    * (monotone max with the Property-3 bound). The survivors' upper-bounded
+    * h-degrees are left in `st.deg`, which CoreDecomp overwrites before use
+    * because every survivor is seeded with `setLB = true`.
     */
   private def improveLB(g: AdjGraph, h: Int, kmin: Int,
                         alive: Array[Boolean], verts: Array[Int],
-                        lb2: Array[Int], lb3: Array[Int],
+                        lb2: Array[Int], st: State,
                         engine: HDegEngine, budget: Budget): Unit = {
     if (verts.isEmpty) return
     val degs = engine.batchHDeg(g, alive, verts, h, budget)
-    val deg = new Array[Int](g.n)
+    val deg = st.deg
+    val lb3 = st.lb3
     var minDeg = Int.MaxValue
     var i = 0
     while (i < verts.length) {
@@ -87,7 +157,8 @@ object HLBUB {
     }
   }
 
-  /** Full h-LB+UB decomposition.
+  /** Full h-LB+UB decomposition: [[plan]], then every interval top-down
+    * over one shared [[State]].
     *
     * @param s       interval width in distinct UB values; None ⇒ adaptive
     *                (≈ 12 intervals), the default used by the benches
@@ -101,50 +172,11 @@ object HLBUB {
                 useHDegAsUB: Boolean = false): CoreResult = {
     require(h >= 1, "h must be >= 1")
     val t0 = System.nanoTime()
-    val n = g.n
-    if (n == 0) return CoreResult(Array.empty, 0, 0, 0)
-
-    val core = Array.fill(n)(-1)
-    val assigned = new Array[Boolean](n)
-    val lb3 = new Array[Int](n)
-
-    // Lines 3–9: bounds (initial h-degrees are part of UB's computation).
-    val l1 = Bounds.lb1(g, h, engine, budget)
-    val lb2 = Bounds.lb2(g, h, l1, engine, budget)
-    val ub =
-      if (useHDegAsUB) Bounds.hDegUB(g, h, engine, budget)
-      else Bounds.upperBound(g, h, engine, budget)
-
-    val lb0 = lb2.min
-    val uDesc = (ub.distinct :+ (lb0 - 1)).distinct.sortBy(-_)
-    val sVal = s.getOrElse(math.max(1, math.ceil((uDesc.length - 1) / 12.0).toInt))
-    val parts = intervals(uDesc, sVal)
-
-    val setLB = new Array[Boolean](n)
-    val deg = new Array[Int](n)
-
-    for ((kmin, kmax) <- parts) {
-      // Line 12: V[kmin] = {v : UB(v) >= kmin} — rebuilt per interval.
-      val alive = Array.tabulate(n)(v => ub(v) >= kmin)
-      val verts = (0 until n).filter(alive).toArray
-      // Lines 13–14: clean + tighten (Alg. 6).
-      improveLB(g, h, kmin, alive, verts, lb2, lb3, engine, budget)
-      // Lines 15–17: bucket survivors at their best-known floor.
-      val buckets = new Buckets(n, math.max(0, n - 1))
-      val floor = math.max(0, kmin - 1)
-      var v = 0
-      while (v < n) {
-        if (alive(v)) {
-          val b = math.max(math.max(core(v), lb3(v)), floor)
-          buckets.add(v, b)
-          setLB(v) = true
-        }
-        v += 1
-      }
-      // Line 18.
-      CoreDecomp.run(g, h, kmin, kmax, alive, buckets, setLB, deg,
-                     core, assigned, engine, budget)
-    }
-    CoreResult(core, budget.visits, budget.bfsCount, (System.nanoTime() - t0) / 1000000L)
+    if (g.n == 0) return CoreResult(Array.empty, 0, 0, 0)
+    val p = plan(g, h, engine, budget, s, useHDegAsUB)
+    val st = new State(g.n)
+    for ((kmin, kmax) <- p.intervals)
+      runInterval(g, h, p, kmin, kmax, st, engine, budget)
+    CoreResult(st.core, budget.visits, budget.bfsCount, (System.nanoTime() - t0) / 1000000L)
   }
 }

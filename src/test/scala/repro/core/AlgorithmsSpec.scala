@@ -122,5 +122,28 @@ class AlgorithmsSpec extends AnyFunSuite {
     val sizes = KHCore.coreSizes(r.core)
     assert(sizes(0) == 13 && sizes(4) == 13 && sizes(5) == 12 && sizes(6) == 10)
     assert(KHCore.degeneracy(r.core) == 6)
+    assert(KHCore.coreSizes(Array(0, 3, 3)).toSeq == Seq(3, 2, 2, 2))
+  }
+
+  test("h-LB+UB intervals run independently (Obs. 3): fresh state per interval") {
+    for (seed <- 1 to 3; h <- 2 to 3; s <- Seq(Some(1), Some(4), None)) {
+      val g = GraphGen.randomConnected(50, 3.0, 40 + seed)
+      val eng = new SequentialEngine(g.n)
+      val budget = Budget.unlimited()
+      val plan = HLBUB.plan(g, h, eng, budget, s, useHDegAsUB = false)
+      val merged = Array.fill(g.n)(-1)
+      for ((kmin, kmax) <- plan.intervals) {
+        val st = new HLBUB.State(g.n)
+        HLBUB.runInterval(g, h, plan, kmin, kmax, st, eng, budget)
+        for (v <- 0 until g.n if st.assigned(v)) {
+          assert(merged(v) == -1, s"vertex $v assigned twice: seed=$seed h=$h s=$s")
+          merged(v) = st.core(v)
+        }
+      }
+      assert(merged.forall(_ >= 0), s"unassigned vertex: seed=$seed h=$h s=$s")
+      assert(merged.toSeq == NaiveCore.decompose(g, h).toSeq, s"seed=$seed h=$h s=$s")
+      assert(merged.toSeq == HLBUB.decompose(g, h, eng, s = s).core.toSeq,
+             s"seed=$seed h=$h s=$s")
+    }
   }
 }
