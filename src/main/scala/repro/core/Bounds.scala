@@ -4,11 +4,14 @@ package repro.core
   *
   *  - `LB1(v) = deg^{⌊h/2⌋}(v)`                       (Observation 1)
   *  - `LB2(v) = max{LB1(u) : d(u,v) ≤ ⌈h/2⌉} ∪ {LB1(v)}` (Observation 2)
-  *  - `UB(v)`  = core index of v in a BZ-style peeling that decrements the
-  *    (approximate) h-degree of each h-neighbor of a removed vertex by
-  *    exactly 1 — i.e., the classic core decomposition of the *implicit*
-  *    power graph, never materialized (Algorithm 5). An upper bound because
-  *    a real removal can drop an h-degree by more than 1.
+  *  - `UB(v)`  = level at which v is removed by a BZ-style peeling that
+  *    starts from the exact h-degrees and, on each removal, decrements by
+  *    exactly 1 the h-neighbours found by an h-BFS over the *current*
+  *    (not yet removed) subgraph (Algorithm 5). An upper bound because a
+  *    real removal can drop an h-degree by more than 1. It is not the core
+  *    decomposition of the power graph G^h: a vertex whose every short path
+  *    to v ran through earlier removals is not decremented when v goes,
+  *    though its initial h-degree counted v.
   *  - `hDegUB(v) = deg^h(v)` — the trivial upper bound Table 4/5 compares
   *    UB against.
   */
@@ -38,43 +41,14 @@ object Bounds {
     (l1, lb2(g, h, l1, engine, budget))
   }
 
-  /** Algorithm 5 (UpperBound). Returns per-vertex UB; charges all BFS work
-    * (initial h-degrees + one h-BFS per removal to re-discover the current
-    * h-neighborhood) to `budget`.
+  /** Algorithm 5 (UpperBound): [[CoreDecomp.run]] with `recomputeBelow = 0`,
+    * so every removal decrements each h-neighbour by exactly 1. Returns
+    * per-vertex UB; charges all BFS work (n initial h-degrees + one h-BFS per
+    * removal to re-discover the current h-neighbourhood) to `budget`.
     */
   def upperBound(g: AdjGraph, h: Int, engine: HDegEngine,
-                 budget: Budget = Budget.unlimited()): Array[Int] = {
-    val n = g.n
-    val alive = Array.fill(n)(true)
-    val ubdeg = new Array[Int](n)
-    val ub = new Array[Int](n)
-    val buckets = new Buckets(n, math.max(0, n - 1))
-    val bfs = new HBfs(n)
-
-    val init = engine.batchHDeg(g, alive, Array.range(0, n), h, budget)
-    var v = 0
-    while (v < n) { ubdeg(v) = init(v); buckets.add(v, ubdeg(v)); v += 1 }
-
-    var k = 0
-    while (k < n) {
-      var w = buckets.pop(k)
-      while (w >= 0) {
-        ub(w) = k
-        val cnt = bfs.run(g, alive, w, h, budget)
-        alive(w) = false
-        var i = 0
-        while (i < cnt) {
-          val u = bfs.nbrs(i)
-          ubdeg(u) -= 1
-          buckets.move(u, math.max(ubdeg(u), k))
-          i += 1
-        }
-        w = buckets.pop(k)
-      }
-      k += 1
-    }
-    ub
-  }
+                 budget: Budget = Budget.unlimited()): Array[Int] =
+    CoreDecomp.fromHDegrees(g, h, recomputeBelow = 0, engine, budget)
 
   /** The trivial upper bound: initial h-degree of every vertex. */
   def hDegUB(g: AdjGraph, h: Int, engine: HDegEngine,

@@ -11,7 +11,8 @@ import scala.jdk.CollectionConverters._
   * independent h-BFS, so batches can be computed in any order / in parallel.
   */
 trait HDegEngine {
-  /** h-degree of each vertex in `vertices` (aligned), charged to `budget`. */
+  /** h-degree of each vertex in `vertices` (aligned), charged to `budget`,
+    * in a fresh array the caller owns. */
   def batchHDeg(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                 h: Int, budget: Budget): Array[Int]
 

@@ -82,14 +82,26 @@ object HLBUB {
                   st: State, engine: HDegEngine, budget: Budget): Unit = {
     val n = g.n
     // Line 12: V[kmin] = {v : UB(v) >= kmin}.
-    val alive = Array.tabulate(n)(v => p.ub(v) >= kmin)
-    val verts = (0 until n).filter(alive).toArray
+    val alive = new Array[Boolean](n)
+    var size = 0
+    var v = 0
+    while (v < n) {
+      if (p.ub(v) >= kmin) { alive(v) = true; size += 1 }
+      v += 1
+    }
+    val verts = new Array[Int](size)
+    size = 0
+    v = 0
+    while (v < n) {
+      if (alive(v)) { verts(size) = v; size += 1 }
+      v += 1
+    }
     // Lines 13–14: clean + tighten (Alg. 6).
     improveLB(g, h, kmin, alive, verts, p.lb2, st, engine, budget)
     // Lines 15–17: bucket survivors at their best-known floor.
     val buckets = new Buckets(n, math.max(0, n - 1))
     val floor = math.max(0, kmin - 1)
-    var v = 0
+    v = 0
     while (v < n) {
       if (alive(v)) {
         buckets.add(v, math.max(math.max(st.core(v), st.lb3(v)), floor))
@@ -99,7 +111,7 @@ object HLBUB {
     }
     // Line 18.
     CoreDecomp.run(g, h, kmin, kmax, alive, buckets, st.setLB, st.deg,
-                   st.core, st.assigned, engine, budget)
+                   st.core, st.assigned, engine, budget, recomputeBelow = h)
   }
 
   /** Algorithm 6. Mutates `alive` (removing pruned vertices) and `st.lb3`
@@ -131,28 +143,29 @@ object HLBUB {
       i += 1
     }
     // Cascading clean-up: upper-bounded h-degrees (decrement-by-1) below
-    // kmin can never reach core kmin inside this interval.
+    // kmin can never reach core kmin inside this interval. A FIFO over
+    // `verts`: each vertex enters once, at the start if its degree is below
+    // kmin or when a decrement takes it from kmin to kmin - 1.
     val bfs = new HBfs(g.n)
-    val queue = new java.util.ArrayDeque[Integer]()
-    val queued = new Array[Boolean](g.n)
+    val queue = new Array[Int](verts.length)
+    var tail = 0
     i = 0
     while (i < verts.length) {
       val v = verts(i)
-      if (deg(v) < kmin) { queue.add(v); queued(v) = true }
+      if (deg(v) < kmin) { queue(tail) = v; tail += 1 }
       i += 1
     }
-    while (!queue.isEmpty) {
-      val v: Int = queue.poll()
-      if (alive(v)) {
-        alive(v) = false
-        val cnt = bfs.run(g, alive, v, h, budget)
-        var j = 0
-        while (j < cnt) {
-          val u = bfs.nbrs(j)
-          deg(u) -= 1
-          if (deg(u) < kmin && !queued(u)) { queue.add(u); queued(u) = true }
-          j += 1
-        }
+    var head = 0
+    while (head < tail) {
+      val v = queue(head); head += 1
+      alive(v) = false
+      val cnt = bfs.run(g, alive, v, h, budget)
+      var j = 0
+      while (j < cnt) {
+        val u = bfs.nbrs(j)
+        deg(u) -= 1
+        if (deg(u) == kmin - 1) { queue(tail) = u; tail += 1 }
+        j += 1
       }
     }
   }

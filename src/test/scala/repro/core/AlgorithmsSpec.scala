@@ -146,4 +146,40 @@ class AlgorithmsSpec extends AnyFunSuite {
              s"seed=$seed h=$h s=$s")
     }
   }
+
+  test("pinned BFS counters: h-BZ, h-LB, h-LB+UB variants and UpperBound") {
+    // (visits, bfsCount) of each algorithm, and of Bounds.upperBound alone.
+    // Exact counters are deterministic, so any change to the peeling order
+    // or to which neighbours get recomputed shows up here.
+    val graphs = Seq(
+      "communities" -> GraphGen.communities(4, 20, 0.3, 0.02, 7),
+      "ba" -> GraphGen.ba(80, 3, 2, 5),
+      "er" -> GraphGen.randomConnected(60, 3.0, 11))
+    val algos = Seq[Algo](Algo.HBZ, Algo.HLB, Algo.HLB1, Algo.HLBUB(None), Algo.HLBUBHDeg(None))
+    val expected: Map[(String, Int), (Seq[(Long, Long)], (Long, Long))] = Map(
+      ("communities", 2) -> (Seq((28228L, 1217L), (10474L, 599L), (9836L, 519L),
+                                 (25311L, 1154L), (25636L, 1297L)), (3691L, 160L)),
+      ("communities", 3) -> (Seq((107338L, 2279L), (53023L, 1306L), (50483L, 1226L),
+                                 (55463L, 1205L), (84282L, 2045L)), (7599L, 160L)),
+      ("ba", 2) -> (Seq((28136L, 1037L), (3269L, 324L), (7218L, 357L),
+                        (28230L, 1234L), (20300L, 1063L)), (3361L, 160L)),
+      ("ba", 3) -> (Seq((134304L, 2742L), (38233L, 944L), (35977L, 864L),
+                        (72846L, 1352L), (68839L, 1779L)), (8125L, 160L)),
+      ("er", 2) -> (Seq((3924L, 400L), (1617L, 281L), (1701L, 240L),
+                        (6720L, 757L), (6287L, 782L)), (1022L, 118L)),
+      ("er", 3) -> (Seq((14989L, 722L), (7963L, 500L), (7349L, 444L),
+                        (21745L, 1112L), (17277L, 1002L)), (2148L, 118L)))
+    for ((name, g) <- graphs; h <- Seq(2, 3)) {
+      val (algoCounts, ubCounts) = expected((name, h))
+      for ((algo, want) <- algos.zip(algoCounts)) {
+        val r = KHCore.decompose(g, h, algo)
+        assert((r.visits, r.bfsCount) == want, s"$name h=$h algo=$algo")
+      }
+      val b = Budget.unlimited()
+      Bounds.upperBound(g, h, new SequentialEngine(g.n), b)
+      assert((b.visits, b.bfsCount) == ubCounts, s"$name h=$h UpperBound")
+      // Alg. 5: n initial h-degrees plus one h-BFS per removal.
+      assert(b.bfsCount == 2L * g.n, s"$name h=$h UpperBound BFS count")
+    }
+  }
 }
