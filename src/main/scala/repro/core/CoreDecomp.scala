@@ -34,9 +34,10 @@ object CoreDecomp {
           core: Array[Int], assigned: Array[Boolean],
           engine: HDegEngine, budget: Budget,
           recomputeBelow: Int): Unit = {
-    // Private to this loop: engines use their own scratchpads, so the peel's
-    // h-neighbourhood stays valid in `bfs.nbrs`/`bfs.nbrDist` until the next
-    // `bfs.run`.
+    // Private to this loop: engines use their own scratchpads, and the
+    // first-touch materialization below uses the count-only `bfs.degree`, so
+    // the peel's h-neighbourhood stays valid in `bfs.nbrs`/`bfs.nbrDist`
+    // until the next `bfs.run`.
     val bfs = new HBfs(g.n)
     val recompute = new Array[Int](g.n)
     var k = math.max(0, kmin - 1)
@@ -46,7 +47,7 @@ object CoreDecomp {
         if (setLB(v)) {
           // Lines 4–7: first touch at this level — materialize the real
           // h-degree and re-bucket (clamped to the current level).
-          val d = bfs.run(g, alive, v, h, budget)
+          val d = bfs.degree(g, alive, v, h, budget)
           deg(v) = d
           buckets.add(v, math.max(d, k))
           setLB(v) = false

@@ -3,17 +3,26 @@ package repro.core
 /** Reusable scratchpad for h-bounded BFS over the alive-masked graph.
   *
   * One instance per thread (the arrays are mutable state); allocation-free
-  * across calls via the token-stamped `seen` array. After [[run]]:
-  *   - `nbrCount` is the h-degree of the source,
-  *   - `nbrs(0 until nbrCount)` are the h-neighbors,
-  *   - `nbrDist(i)` is the shortest-path distance of `nbrs(i)` (≤ h).
+  * across calls via the token-stamped `seen` array. Two entry points share
+  * one level-synchronous search, so a vertex's distance is the level it was
+  * found on:
+  *   - [[run]] records the neighbourhood. After it, `nbrCount` is the
+  *     h-degree of the source, `nbrs(0 until nbrCount)` are the
+  *     h-neighbours in BFS order, and `nbrDist(i)` is the shortest-path
+  *     distance of `nbrs(i)` (≤ h). Used where the neighbourhood is read: the
+  *     peel of [[CoreDecomp]], ImproveLB's cascade, LB2, and the reference
+  *     paths ([[NaiveCore]], [[HBfs.allHDegrees]], [[HBfs.hNeighborhood]]).
+  *   - [[degree]] only counts. It leaves `nbrs`, `nbrDist` and `nbrCount`
+  *     untouched, so a neighbourhood from an earlier `run` stays readable.
+  *     Used for every engine batch ([[HDegEngine.batchHDeg]]) and for
+  *     [[CoreDecomp]]'s first-touch materialization.
   *
   * Every vertex enqueued (including the source) counts as one "visit" for
-  * the Table 3 point-to-point distance metric.
+  * the Table 3 point-to-point distance metric; both entry points charge the
+  * same visits and one BFS to the budget.
   */
 final class HBfs(n: Int) {
   private val seen = new Array[Int](n)
-  private val dist = new Array[Int](n)
   private val queue = new Array[Int](n)
   private var token = 0
 
@@ -23,40 +32,52 @@ final class HBfs(n: Int) {
 
   /** h-BFS from `src` restricted to `alive` vertices; `src` is traversed
     * regardless of its own alive flag (callers peel the source after
-    * collecting its neighborhood). Returns the h-degree. Accounts visits
-    * against `budget` and honors its limits.
+    * collecting its neighborhood). Returns the h-degree and records the
+    * neighbourhood. Accounts visits against `budget` and honors its limits.
     */
   def run(g: AdjGraph, alive: Array[Boolean], src: Int, h: Int, budget: Budget): Int = {
+    nbrCount = search(g, alive, src, h, budget, nbrs, nbrDist)
+    nbrCount
+  }
+
+  /** The h-degree [[run]] would return, with the same visits charged, but
+    * without recording the neighbourhood. */
+  def degree(g: AdjGraph, alive: Array[Boolean], src: Int, h: Int, budget: Budget): Int =
+    search(g, alive, src, h, budget, queue, null)
+
+  /** Level-synchronous h-BFS that appends the h-neighbours of `src` to
+    * `found` in BFS order and returns their number; `found` is also the
+    * queue. When `dist` is non-null, each level's entries get their
+    * distance there. */
+  private def search(g: AdjGraph, alive: Array[Boolean], src: Int, h: Int, budget: Budget,
+                     found: Array[Int], dist: Array[Int]): Int = {
     token += 1
     val tk = token
-    var head = 0; var tail = 0
-    seen(src) = tk; dist(src) = 0
-    queue(tail) = src; tail += 1
-    nbrCount = 0
-    var visits = 1L
-    while (head < tail) {
-      val u = queue(head); head += 1
-      val du = dist(u)
-      if (du < h) {
-        val a = g.adj(u)
+    seen(src) = tk
+    var head = -1 // -1 stands for `src`, which is not in `found`
+    var tail = 0
+    var d = 1
+    while (d <= h && head < tail) {
+      val levelEnd = tail
+      while (head < levelEnd) {
+        val a = g.adj(if (head < 0) src else found(head))
+        head += 1
         var i = 0
         while (i < a.length) {
           val w = a(i)
           if (alive(w) && seen(w) != tk) {
             seen(w) = tk
-            val dw = du + 1
-            dist(w) = dw
-            nbrs(nbrCount) = w; nbrDist(nbrCount) = dw; nbrCount += 1
-            queue(tail) = w; tail += 1
-            visits += 1
+            found(tail) = w; tail += 1
           }
           i += 1
         }
       }
+      if (dist ne null) java.util.Arrays.fill(dist, levelEnd, tail, d)
+      d += 1
     }
-    budget.addVisits(visits)
+    budget.addVisits(tail + 1L)
     budget.check()
-    nbrCount
+    tail
   }
 }
 

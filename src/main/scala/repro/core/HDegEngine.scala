@@ -12,7 +12,8 @@ import scala.jdk.CollectionConverters._
   */
 trait HDegEngine {
   /** h-degree of each vertex in `vertices` (aligned), charged to `budget`,
-    * in a fresh array the caller owns. */
+    * in a fresh array the caller owns. Runs the count-only kernel
+    * ([[HBfs.degree]]): no neighbourhood is recorded. */
   def batchHDeg(g: AdjGraph, alive: Array[Boolean], vertices: Array[Int],
                 h: Int, budget: Budget): Array[Int]
 
@@ -33,7 +34,7 @@ private object EngineKernels {
                 bfs: HBfs, out: Array[Int], from: Int, until: Int): Unit = {
     var i = from
     while (i < until) {
-      out(i) = bfs.run(g, alive, vertices(i), h, budget)
+      out(i) = bfs.degree(g, alive, vertices(i), h, budget)
       i += 1
     }
   }

@@ -32,7 +32,7 @@ final class SparkEngine(spark: SparkSession, g: AdjGraph,
           val graph = new AdjGraph(nLocal, adjB.value)
           val bfs = new HBfs(nLocal)
           val b = Budget.unlimited() // per-task accounting, merged below
-          val out = it.map { case (v, i) => (i, bfs.run(graph, aliveBc.value, v, h, b)) }.toArray
+          val out = it.map { case (v, i) => (i, bfs.degree(graph, aliveBc.value, v, h, b)) }.toArray
           Iterator((out, b.visits, b.bfsCount))
         }
         .collect()

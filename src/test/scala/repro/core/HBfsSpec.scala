@@ -62,6 +62,8 @@ class HBfsSpec extends AnyFunSuite {
     val budget = new Budget(maxVisits = 10)
     val bfs = new HBfs(20)
     intercept[BudgetExceeded] { bfs.run(g, Array.fill(20)(true), 0, 1, budget) }
+    val fresh = new Budget(maxVisits = 10)
+    intercept[BudgetExceeded] { bfs.degree(g, Array.fill(20)(true), 0, 1, fresh) }
   }
 
   test("h-degree matches induced-subgraph BFS on random graphs and masks") {
@@ -69,12 +71,30 @@ class HBfsSpec extends AnyFunSuite {
     for (trial <- 1 to 20) {
       val g = GraphGen.randomConnected(40, 2.5, trial)
       val alive = Array.fill(g.n)(rnd.nextDouble() > 0.25)
-      val bfs = new HBfs(g.n)
-      for (h <- 1 to 4; v <- 0 until g.n if alive(v)) {
-        assert(bfs.run(g, alive, v, h, Budget.unlimited()) == naiveHDeg(g, alive, v, h),
-               s"trial=$trial v=$v h=$h")
+      // engines size their scratchpads for the largest graph they serve
+      val bfs = new HBfs(if (trial % 2 == 0) g.n else 2 * g.n)
+      // dead sources too: the peel and ImproveLB search from removed vertices
+      for (h <- 1 to 4; v <- 0 until g.n) {
+        val (byRun, byDegree) = (Budget.unlimited(), Budget.unlimited())
+        val d = bfs.degree(g, alive, v, h, byDegree)
+        val where = s"trial=$trial v=$v h=$h alive=${alive(v)}"
+        assert(d == bfs.run(g, alive, v, h, byRun), where)
+        assert(d == naiveHDeg(g, alive, v, h), where)
+        assert(byDegree.visits == byRun.visits && byDegree.bfsCount == byRun.bfsCount, where)
       }
     }
+  }
+
+  test("degree leaves the neighbourhood of the previous run readable") {
+    val g = GraphGen.randomConnected(40, 2.5, 3)
+    val alive = Array.fill(g.n)(true)
+    val bfs = new HBfs(g.n)
+    val cnt = bfs.run(g, alive, 0, 2, Budget.unlimited())
+    val before = (bfs.nbrs.take(cnt).toSeq, bfs.nbrDist.take(cnt).toSeq)
+    for (u <- 1 until g.n) bfs.degree(g, alive, u, 3, Budget.unlimited())
+    assert(bfs.nbrCount == cnt)
+    assert((bfs.nbrs.take(cnt).toSeq, bfs.nbrDist.take(cnt).toSeq) == before)
+    assert(bfs.nbrs.take(cnt).toSet == HBfs.hNeighborhood(g, alive, 0, 2).toSet)
   }
 
   test("allHDegrees helper matches per-vertex runs") {
