@@ -1,6 +1,6 @@
 package repro.club
 
-import repro.core.AdjGraph
+import repro.core.{AdjGraph, Budget, HBfs}
 
 /** Budget/outcome types for the NP-hard maximum h-club solvers. */
 final class ClubBudget(val maxNodes: Long = Long.MaxValue,
@@ -139,12 +139,15 @@ object IterativeClubSolver extends ClubSolver {
     val alive = Array.fill(g.n)(true)
     // process high-h-degree vertices first: they anchor the largest clubs,
     // raising the incumbent early
-    val hdegs = repro.core.HBfs.allHDegrees(g, h)
+    val hdegs = HBfs.allHDegrees(g, h)
     val order = (0 until g.n).sortBy(v => -hdegs(v))
+    // one scratchpad for every ball: a fresh HBfs per vertex is O(n²) allocation
+    val bfs = new HBfs(g.n)
+    val unlimited = Budget.unlimited()
     for (v <- order if alive(v)) {
       budget.tick()
       if (hdegs(v) + 1 > bestSize) {
-        val ball = repro.core.HBfs.hNeighborhood(g, alive, v, h) :+ v
+        val ball = bfs.nbrs.take(bfs.run(g, alive, v, h, unlimited)) :+ v
         if (ball.length > bestSize) {
           val (sub, ids) = g.inducedOn(ball.toSeq)
           val found = BnBClubSolver.solve(sub, h, bestSize, budget)

@@ -1,6 +1,6 @@
 package repro.core
 
-import java.util.concurrent.{Callable, Executors, TimeUnit}
+import java.util.concurrent.{Callable, ExecutionException, Executors, TimeUnit}
 import scala.jdk.CollectionConverters._
 
 /** Batch computation of h-degrees for a set of vertices over a fixed alive
@@ -119,7 +119,15 @@ final class ThreadedEngine(n: Int, threads: Int = Runtime.getRuntime.availablePr
           override def call(): Unit = kernel(localBfs.get(), out, start, end)
         }
       }
-      pool.invokeAll(tasks.asJava).asScala.foreach(_.get()) // rethrow BudgetExceeded etc.
+      // get() wraps a worker's exception; rethrow BudgetExceeded and other
+      // unchecked throwables as themselves.
+      try pool.invokeAll(tasks.asJava).asScala.foreach(_.get())
+      catch {
+        case e: ExecutionException => e.getCause match {
+          case c @ (_: RuntimeException | _: Error) => throw c
+          case _                                    => throw e
+        }
+      }
     }
     out
   }

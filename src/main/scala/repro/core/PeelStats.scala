@@ -17,19 +17,13 @@ final class BudgetExceeded(msg: String) extends RuntimeException(msg)
   * @param deadlineNanos wall-clock deadline (System.nanoTime scale)
   */
 final class Budget(val maxVisits: Long = Long.MaxValue,
-                   val deadlineNanos: Long = Long.MaxValue) extends Serializable {
+                   val deadlineNanos: Long = Long.MaxValue) {
   private val visitsAdder = new LongAdder
   private val bfsAdder = new LongAdder
 
   def addVisits(k: Long): Unit = {
     visitsAdder.add(k)
     bfsAdder.increment()
-  }
-
-  /** Merge accounting from a detached (e.g., per-Spark-task) budget. */
-  def merge(visits: Long, bfs: Long): Unit = {
-    visitsAdder.add(visits)
-    bfsAdder.add(bfs)
   }
 
   def visits: Long = visitsAdder.sum()

@@ -109,6 +109,11 @@ class AlgorithmsSpec extends AnyFunSuite {
     intercept[BudgetExceeded] {
       KHCore.decompose(g, 4, Algo.HBZ, budget = new Budget(maxVisits = 2000))
     }
+    // A worker thread's overrun surfaces as itself, not wrapped by the pool.
+    val eng = new ThreadedEngine(g.n, threads = 4)
+    try intercept[BudgetExceeded] {
+      KHCore.decompose(g, 4, Algo.HBZ, engine = Some(eng), budget = new Budget(maxVisits = 2000))
+    } finally eng.shutdown()
   }
 
   test("CoreResult helpers: maxCore, distinctCores, coreVertices, coreSizes") {

@@ -1,91 +1,14 @@
 package repro.spark
 
 import repro.SparkSpec
-import repro.core._
+import repro.core.KHCore
 import repro.graphgen.GraphGen
 
-/** Spark-side correctness: GraphX Pregel h-degrees, the distributed batch
-  * engine, and the UB-interval partitioned decomposition all agree with the
-  * sequential substrate.
+/** Spark-side correctness of [[GraphDF]]: the edge DataFrames round-trip
+  * to the same graph, and its Spark SQL degree, stats and core-size queries
+  * agree with DuckDB (`repro.Oracle`) and with direct computation.
   */
 class SparkLayerSpec extends SparkSpec {
-
-  test("Pregel h-degrees match local h-BFS on the Figure-1 graph") {
-    val g = GraphGen.figure1
-    for (h <- 1 to 4)
-      assert(PregelHDeg.hDegrees(spark, g, h).toSeq == HBfs.allHDegrees(g, h).toSeq, s"h=$h")
-  }
-
-  test("Pregel h-degrees match local h-BFS on random graphs") {
-    for (seed <- 1 to 3; h <- Seq(2, 3)) {
-      val g = GraphGen.randomConnected(80, 3.0, 20 + seed)
-      assert(PregelHDeg.hDegrees(spark, g, h).toSeq == HBfs.allHDegrees(g, h).toSeq,
-             s"seed=$seed h=$h")
-    }
-  }
-
-  test("Pregel h-degrees on a disconnected graph") {
-    val g = GraphGen.er(40, 25, 99)
-    assert(PregelHDeg.hDegrees(spark, g, 2).toSeq == HBfs.allHDegrees(g, 2).toSeq)
-  }
-
-  test("SparkEngine batch h-degrees equal sequential engine output") {
-    val g = GraphGen.communities(4, 40, 0.25, 0.01, 7)
-    val eng = new SparkEngine(spark, g, minDistributedBatch = 8)
-    try {
-      val alive = Array.fill(g.n)(true)
-      alive(3) = false; alive(10) = false
-      val verts = (0 until g.n).filter(alive).toArray
-      val seq = new SequentialEngine(g.n)
-        .batchHDeg(g, alive, verts, 3, Budget.unlimited())
-      val dist = eng.batchHDeg(g, alive, verts, 3, Budget.unlimited())
-      assert(dist.toSeq == seq.toSeq)
-    } finally eng.shutdown()
-  }
-
-  test("SparkEngine counts visits like the sequential engine") {
-    val g = GraphGen.cycle(600)
-    val eng = new SparkEngine(spark, g, minDistributedBatch = 8)
-    try {
-      val alive = Array.fill(g.n)(true)
-      val verts = Array.range(0, g.n)
-      val bSeq = Budget.unlimited()
-      new SequentialEngine(g.n).batchHDeg(g, alive, verts, 2, bSeq)
-      val bDist = Budget.unlimited()
-      eng.batchHDeg(g, alive, verts, 2, bDist)
-      assert(bDist.visits == bSeq.visits)
-    } finally eng.shutdown()
-  }
-
-  test("full decomposition with the SparkEngine plugged in matches naive") {
-    val g = GraphGen.randomConnected(70, 3.5, 31)
-    val expected = NaiveCore.decompose(g, 2).toSeq
-    val eng = new SparkEngine(spark, g, minDistributedBatch = 16)
-    try {
-      val got = KHCore.decompose(g, 2, Algo.HLBUB(None), engine = Some(eng))
-      assert(got.core.toSeq == expected)
-    } finally eng.shutdown()
-  }
-
-  test("SparkPartitionedDecomp matches naive on canned graphs") {
-    for ((name, g) <- Seq("figure1" -> GraphGen.figure1,
-                          "petersen" -> GraphGen.petersen,
-                          "grid" -> GraphGen.gridRoad(6, 6, 0.9, 3));
-         h <- 2 to 3) {
-      val expected = NaiveCore.decompose(g, h).toSeq
-      val got = SparkPartitionedDecomp.decompose(spark, g, h)
-      assert(got.core.toSeq == expected, s"$name h=$h")
-    }
-  }
-
-  test("SparkPartitionedDecomp matches naive on random graphs for several S") {
-    for (seed <- 1 to 3; s <- Seq(Some(1), Some(4), None)) {
-      val g = GraphGen.randomConnected(50, 3.0, 40 + seed)
-      val expected = NaiveCore.decompose(g, 2).toSeq
-      val got = SparkPartitionedDecomp.decompose(spark, g, 2, s)
-      assert(got.core.toSeq == expected, s"seed=$seed s=$s")
-    }
-  }
 
   test("edge DataFrame round-trips to the same graph") {
     val g = GraphGen.ba(60, 3, 2, 5)
